@@ -239,39 +239,6 @@ pub fn assign_k(gains_per_parser: &[Vec<f64>], weights: &[f64], slots: f64) -> K
     KAssignment { choices, slots_consumed }
 }
 
-/// Global k-parser assignment at fraction `alpha`: slot budget `⌊α·n⌋` in
-/// units of the costliest upgrade, over the whole collection — the k-way
-/// analogue of [`select_global`].
-pub fn assign_k_global(gains_per_parser: &[Vec<f64>], weights: &[f64], alpha: f64) -> KAssignment {
-    let n = gains_per_parser.first().map(Vec::len).unwrap_or(0);
-    let slots = ((n as f64) * alpha.clamp(0.0, 1.0)).floor();
-    assign_k(gains_per_parser, weights, slots)
-}
-
-/// Per-batch k-parser assignment — the k-way analogue of [`select_batch`]:
-/// each batch of `batch_size` documents gets an independent slot budget of
-/// `⌊α·len⌋` costliest-upgrade units.
-pub fn assign_k_batched(
-    gains_per_parser: &[Vec<f64>],
-    weights: &[f64],
-    alpha: f64,
-    batch_size: usize,
-) -> Vec<Option<usize>> {
-    let alpha = alpha.clamp(0.0, 1.0);
-    let batch_size = batch_size.max(1);
-    let n = gains_per_parser.first().map(Vec::len).unwrap_or(0);
-    let mut choices = Vec::with_capacity(n);
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + batch_size).min(n);
-        let batch: Vec<Vec<f64>> = gains_per_parser.iter().map(|g| g[start..end].to_vec()).collect();
-        let slots = (((end - start) as f64) * alpha).floor();
-        choices.extend(assign_k(&batch, weights, slots).choices);
-        start = end;
-    }
-    choices
-}
-
 /// Total improvement captured by a selection mask.
 pub fn captured_improvement(improvements: &[f64], mask: &[bool]) -> f64 {
     improvements.iter().zip(mask).filter(|(_, &m)| m).map(|(v, _)| v).sum()
@@ -509,14 +476,14 @@ mod tests {
             prop_assert_eq!(top_k_indices(&scores, k), expected);
         }
 
-        // The pinned degenerate case: one upgrade at weight exactly 1.0
-        // makes the k-way greedy bitwise-identical to the binary selectors,
-        // across NaN, ±∞, sentinels, and heavy ties.
+        // The pinned degenerate case: one upgrade at weight exactly 1.0 and
+        // a slot budget of ⌊α·n⌋ make the k-way greedy bitwise-identical to
+        // the binary global selector, across NaN, ±∞, sentinels, and heavy
+        // ties.
         #[test]
         fn degenerate_assign_k_equals_binary_selection(
             raw in prop::collection::vec((0u8..12, -1.0f64..1.0), 0..200),
             alpha in 0.0f64..1.0,
-            batch in 1usize..64,
         ) {
             let scores: Vec<f64> = raw
                 .into_iter()
@@ -530,12 +497,11 @@ mod tests {
                     _ => v,
                 })
                 .collect();
-            let gains = vec![scores.clone()];
-            let weights = vec![1.0f64];
-            prop_assert_eq!(assign_k_global(&gains, &weights, alpha).mask(), select_global(&scores, alpha));
-            let batched: Vec<bool> =
-                assign_k_batched(&gains, &weights, alpha, batch).iter().map(Option::is_some).collect();
-            prop_assert_eq!(batched, select_batch(&scores, alpha, batch));
+            let slots = ((scores.len() as f64) * alpha).floor();
+            prop_assert_eq!(
+                assign_k(std::slice::from_ref(&scores), &[1.0], slots).mask(),
+                select_global(&scores, alpha)
+            );
         }
     }
 }

@@ -23,9 +23,12 @@
 //! input order, so a campaign's [`CampaignResult`] is **bitwise identical for
 //! every worker count and shard size**.
 //!
-//! The streaming mode here is the *wall-clock* half of the closed loop: its
-//! waves overlap on real thread fleets and its controller samples real
-//! stage times. Its simulated twin is
+//! The streaming mode and the k-parser cascade share one wave loop: each
+//! window is extracted and scored on the whole pool, selected, then parsed
+//! and scored on the whole pool and folded before the next window starts.
+//! Only selection differs between them. No stage fleets and no wall-clock
+//! controller are involved: the streaming mode is the *real-execution* half
+//! of the closed loop, and its simulated twin is
 //! [`crate::scaling::simloop::run_closed_loop`], which runs the same
 //! window-by-window circuit wavelessly inside a persistent
 //! [`hpcsim::ExecutorSession`] — dependency edges, warm-pool residency, and
@@ -45,9 +48,7 @@ use textmetrics::accepted::{AcceptedTokens, DEFAULT_ACCEPTANCE_THRESHOLD};
 use textmetrics::QualityReport;
 
 use rayon::prelude::*;
-use rayon::{ThreadPool, ThreadPoolBuilder};
-
-use std::time::Instant;
+use rayon::ThreadPoolBuilder;
 
 use crate::cascade::{
     cascade_gains, delegated_pages, CascadeConfig, CascadeFeatures, CascadeSelector, ParserChoice,
@@ -57,10 +58,7 @@ use crate::config::AdaParseConfig;
 use crate::engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 use crate::output::{MemorySink, ParsedRecord, RecordSink};
 use crate::scaling::simloop::planned_costs;
-use crate::scaling::{
-    BudgetLedger, ClassLedger, ControllerConfig, ScalingController, StageSample, WaveCosts, WaveStats,
-    WindowedSelector,
-};
+use crate::scaling::{BudgetLedger, ClassLedger, WaveCosts, WindowedSelector};
 
 /// How routing decisions are produced and interleaved with parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,12 +70,12 @@ pub enum RoutingMode {
     /// Streaming execution: documents are routed per window of `window`
     /// documents by a [`crate::scaling::WindowedSelector`] holding a running
     /// budget ledger (fed back with *observed* per-document costs when a
-    /// [`CampaignBudget`] with feedback is attached), extraction of window
-    /// i+1 overlaps with parsing of window i, and a
-    /// [`crate::scaling::ScalingController`] reallocates workers between
-    /// the two stages wave by wave. Routing differs from
-    /// [`RoutingMode::GlobalBatch`] (windowed vs per-batch selection) but is
-    /// still bitwise identical across worker counts.
+    /// [`CampaignBudget`] with feedback is attached), and each window is
+    /// parsed and folded on the whole pool before the next is extracted —
+    /// so parse work starts after the first window, not after the whole
+    /// corpus. Routing differs from [`RoutingMode::GlobalBatch`] (windowed
+    /// vs per-batch selection) but is still bitwise identical across worker
+    /// counts.
     Streaming {
         /// Selection window size k (also the wave size). The paper's batch
         /// size (k = 256) is a good default; larger windows shrink the
@@ -130,7 +128,7 @@ impl CampaignBudget {
 /// Parallel-execution knobs of a campaign run.
 ///
 /// `workers` and `shard_size` never affect the campaign's *result* — only
-/// its wall-clock time. `mode` selects the routing/overlap strategy; each
+/// its wall-clock time. `mode` selects the routing strategy; each
 /// mode is individually bitwise-deterministic across worker counts, but the
 /// two modes route (deliberately) slightly differently. `budget` meters
 /// streaming campaigns against a compute budget (and, with feedback on,
@@ -142,7 +140,7 @@ pub struct PipelineConfig {
     pub workers: usize,
     /// Documents per shard handed to a worker at a time.
     pub shard_size: usize,
-    /// Routing/overlap strategy.
+    /// Routing strategy.
     pub mode: RoutingMode,
     /// Optional compute budget for streaming campaigns.
     pub budget: Option<CampaignBudget>,
@@ -478,8 +476,9 @@ impl<'a> ScoreStage<'a> {
 ///
 /// For the pinned degenerate configuration ([`CascadeConfig::binary`]) the
 /// embedded `result` is **bitwise identical** to the binary streaming
-/// campaign at the same window — the `cascade_equivalence` suite freezes
-/// this.
+/// campaign at the same window *without* a [`CampaignBudget`] —
+/// [`CampaignPipeline::run_cascade`] ignores the pipeline's `budget` and
+/// `mode` — and the `cascade_equivalence` suite freezes this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadeReport {
     /// The campaign result (quality, costs, failures, records), folded in
@@ -545,15 +544,13 @@ impl CampaignPipeline {
     /// route later windows more tightly (or loosely) than this preview,
     /// because only a campaign that actually parses has costs to observe.
     pub fn route(&self, engine: &AdaParseEngine, documents: &[Document], seed: u64) -> Vec<RoutedDocument> {
-        let (inputs, _) = self.extract_all(engine, documents, seed);
-        let route = RouteStage::new(engine);
-        let scores = self.score_improvements(&route, &inputs);
+        let scored = self.extract_and_score_wave(engine, documents, seed);
         match self.config.mode {
-            RoutingMode::GlobalBatch => route.select(&inputs, &scores),
+            RoutingMode::GlobalBatch => RouteStage::new(engine).select(&scored.inputs, &scored.scores),
             RoutingMode::Streaming { window } => {
-                let improvements: Vec<f64> = scores.iter().map(|&(s, _)| s).collect();
+                let improvements: Vec<f64> = scored.scores.iter().map(|&(s, _)| s).collect();
                 let mask = self.streaming_selector(engine, documents, window).select_all(&improvements);
-                engine.assemble_routes_with_mask(&inputs, &scores, &mask)
+                engine.assemble_routes_with_mask(&scored.inputs, &scored.scores, &mask)
             }
         }
     }
@@ -600,11 +597,12 @@ impl CampaignPipeline {
 
     /// Run the full campaign, streaming each [`ParsedRecord`] to `sink` in
     /// input order instead of buffering (`CampaignResult::records` stays
-    /// empty). Stages 3–4 run wave by wave — a wave is `workers × shard_size`
-    /// documents — and each wave is folded and sunk before the next starts.
-    /// Decoded SPDF containers are per-stage temporaries and routing inputs
-    /// are dropped once decisions exist, so resident memory beyond the
-    /// caller's own corpus is one wave of parsed output plus the (small)
+    /// empty). Stages 3–4 run wave by wave — a streaming window, or
+    /// `workers × shard_size` documents in [`RoutingMode::GlobalBatch`] —
+    /// and each wave is folded and sunk before the next starts. Decoded
+    /// SPDF containers are per-stage temporaries and routing inputs are
+    /// dropped once decisions exist, so resident memory beyond the caller's
+    /// own corpus is one wave of parsed output plus the (small)
     /// per-document routing decisions.
     pub fn run_with_sink(
         &self,
@@ -614,98 +612,43 @@ impl CampaignPipeline {
         sink: &mut dyn RecordSink,
     ) -> std::io::Result<CampaignResult> {
         if let RoutingMode::Streaming { window } = self.config.mode {
-            return self.run_streaming_with_sink(engine, documents, seed, window, sink);
+            let selection = WaveSelection::Binary(self.streaming_selector(engine, documents, window));
+            return Ok(self.run_waves(engine, documents, seed, selection, sink)?.0);
         }
         let config = engine.config();
 
-        // Stages 1–2: extract in parallel, route sequentially.
-        let (inputs, extraction_failures) = self.extract_all(engine, documents, seed);
-        let route = RouteStage::new(engine);
-        let scores = self.score_improvements(&route, &inputs);
-        let routed = route.select(&inputs, &scores);
-        drop(scores);
-        drop(inputs);
+        // Stages 1–2: extract and score in parallel, select sequentially.
+        let scored = self.extract_and_score_wave(engine, documents, seed);
+        let routed = RouteStage::new(engine).select(&scored.inputs, &scored.scores);
+        let extraction_failures = scored.failures;
+        drop(scored);
 
-        // Stages 3–4: parse and score wave by wave. Within a wave, shards run
-        // in parallel and come back in input order; the fold then consumes
-        // the wave before the next one is produced, bounding resident output
-        // text to one wave.
-        let parse = ParseStage::new(config, &self.pool);
-        let score = ScoreStage::new(config);
+        // Stages 3–4 wave by wave, bounding resident output text to one wave.
         let wave_size = self.config.shard_size * self.threads.current_num_threads().max(1);
-
         let mut aggregates = Aggregates::default();
-        for (wave_index, wave) in documents.chunks(wave_size).enumerate() {
-            let offset = wave_index * wave_size;
-            let jobs: Vec<(usize, &Document)> =
-                wave.iter().enumerate().map(|(k, doc)| (offset + k, doc)).collect();
-            let outcomes: Vec<Vec<DocOutcome>> = self.threads.install(|| {
-                jobs.par_chunks(self.config.shard_size)
-                    .map(|shard| {
-                        shard
-                            .iter()
-                            .map(|&(i, doc)| {
-                                let parsed = parse.run(doc, &routed[i], seed);
-                                let extraction_cost = parse.extraction_cost(doc.page_count());
-                                score.run(doc, &routed[i], parsed, extraction_cost)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            });
-
-            // Fold strictly in input order so float accumulation (and the
-            // result as a whole) is identical for every worker count, shard
-            // size, and wave boundary.
-            for outcome in outcomes.into_iter().flatten() {
-                aggregates.fold(outcome, sink)?;
-            }
+        for (docs, decisions) in documents.chunks(wave_size).zip(routed.chunks(wave_size)) {
+            aggregates.fold_wave(self.parse_and_score(config, docs, decisions, None, seed), sink)?;
         }
-
         Ok(aggregates.into_result(documents.len(), routed, extraction_failures))
-    }
-
-    /// Run stages 1–2 of a k-parser cascade campaign: per-document (and,
-    /// under [`RoutingGranularity::ByPage`], per-page) routing decisions
-    /// over the cascade's frontier, without parsing or scoring.
-    ///
-    /// Windows, α, and granularity come from the [`CascadeConfig`] — the
-    /// pipeline's own [`RoutingMode`] and [`CampaignBudget`] are not
-    /// consulted (the cascade selector meters planned dollars per parser
-    /// class instead of seconds). Decisions are bitwise identical for every
-    /// worker count and shard size, like every other routing path.
-    pub fn route_cascade(
-        &self,
-        engine: &AdaParseEngine,
-        documents: &[Document],
-        cascade: &CascadeConfig,
-        seed: u64,
-    ) -> Vec<ParserChoice> {
-        let mut selector = CascadeSelector::new(cascade);
-        let workers = self.threads.current_num_threads().max(1);
-        let mut choices_all = Vec::with_capacity(documents.len());
-        for wave_docs in documents.chunks(selector.window()) {
-            let wave = self.extract_and_score_wave(engine, wave_docs, seed, workers);
-            let (_, choice_wave) =
-                self.resolve_cascade_wave(cascade, &mut selector, wave_docs, &wave.inputs, &wave.scores);
-            choices_all.extend(choice_wave);
-        }
-        choices_all
     }
 
     /// Run a full k-parser cascade campaign: windowed selection over the
     /// cascade's frontier, whole-document or per-page delegation, parse and
     /// score folded in input order.
     ///
-    /// The degenerate [`CascadeConfig::binary`] configuration reproduces the
-    /// binary [`RoutingMode::Streaming`] campaign at the same window
-    /// **bitwise** — same masks, same records, same aggregate floats — which
-    /// the `cascade_equivalence` suite pins. Wider frontiers route over the
-    /// transformed gains of [`cascade_gains`]; per-page delegation sends only
-    /// a document's above-mean-difficulty pages to the upgrade parser and
-    /// bills only that fraction of the upgrade's cost. Like every campaign
-    /// mode, the report is bitwise identical across worker counts and shard
-    /// sizes.
+    /// Windows, α, and granularity come from the [`CascadeConfig`]: the
+    /// pipeline's own [`RoutingMode`] and [`CampaignBudget`] are ignored
+    /// (the cascade selector meters planned dollars per parser class
+    /// instead of seconds). So the degenerate [`CascadeConfig::binary`]
+    /// configuration reproduces the binary [`RoutingMode::Streaming`]
+    /// campaign at the same window **bitwise** — same masks, same records,
+    /// same aggregate floats — only when that campaign has no
+    /// [`CampaignBudget`]; the `cascade_equivalence` suite pins this. Wider
+    /// frontiers route over the transformed gains of [`cascade_gains`];
+    /// per-page delegation sends only a document's above-mean-difficulty
+    /// pages to the upgrade parser and bills only that fraction of the
+    /// upgrade's cost. Like every campaign mode, the report is bitwise
+    /// identical across worker counts and shard sizes.
     pub fn run_cascade(
         &self,
         engine: &AdaParseEngine,
@@ -713,373 +656,238 @@ impl CampaignPipeline {
         cascade: &CascadeConfig,
         seed: u64,
     ) -> CascadeReport {
-        let config = engine.config();
-        let parse = ParseStage::new(config, &self.pool);
-        let score = ScoreStage::new(config);
         let mut selector = CascadeSelector::new(cascade);
-        let workers = self.threads.current_num_threads().max(1);
-
         let mut sink = MemorySink::new();
-        let mut aggregates = Aggregates::default();
-        let mut routed_all: Vec<RoutedDocument> = Vec::with_capacity(documents.len());
-        let mut choices_all: Vec<ParserChoice> = Vec::with_capacity(documents.len());
-        let mut extraction_failures = 0usize;
-
-        for wave_docs in documents.chunks(selector.window()) {
-            let wave = self.extract_and_score_wave(engine, wave_docs, seed, workers);
-            extraction_failures += wave.failures;
-            let (routed_wave, choice_wave) =
-                self.resolve_cascade_wave(cascade, &mut selector, wave_docs, &wave.inputs, &wave.scores);
-
-            // Stages 3–4, sharded like every other mode, folded in input
-            // order. Whole-document choices take the pinned ParseStage::run
-            // path; delegated ones stitch per page.
-            let base = cascade.frontier.base();
-            let jobs: Vec<(&Document, &RoutedDocument, &ParserChoice)> = wave_docs
-                .iter()
-                .zip(&routed_wave)
-                .zip(&choice_wave)
-                .map(|((doc, decision), choice)| (doc, decision, choice))
-                .collect();
-            let shards: Vec<Vec<DocOutcome>> = self.threads.install(|| {
-                jobs.par_chunks(self.config.shard_size)
-                    .map(|shard| {
-                        shard
-                            .iter()
-                            .map(|&(doc, decision, choice)| {
-                                let parsed = if choice.upgraded_pages.is_empty() {
-                                    parse.run(doc, decision, seed)
-                                } else {
-                                    parse.run_choice(doc, choice, base, seed)
-                                };
-                                let extraction_cost = parse.extraction_cost(doc.page_count());
-                                score.run(doc, decision, parsed, extraction_cost)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            });
-            for outcome in shards.into_iter().flatten() {
-                aggregates.fold(outcome, &mut sink).expect("memory sink cannot fail");
-            }
-            routed_all.extend(routed_wave);
-            choices_all.extend(choice_wave);
-        }
-
-        let mut result = aggregates.into_result(documents.len(), routed_all, extraction_failures);
+        let selection = WaveSelection::Cascade { cascade, selector: &mut selector };
+        let (mut result, choices) =
+            self.run_waves(engine, documents, seed, selection, &mut sink).expect("memory sink cannot fail");
         result.records = sink.into_records();
         let parser_docs = ParserKind::ALL
             .iter()
-            .map(|&kind| (kind, choices_all.iter().filter(|c| c.parser == kind).count()))
+            .map(|&kind| (kind, choices.iter().filter(|c| c.parser == kind).count()))
             .filter(|&(_, count)| count > 0)
             .collect();
         CascadeReport {
             result,
             parser_docs,
             dollars: selector.dollars().clone(),
-            pages_delegated: choices_all.iter().map(|c| c.upgraded_pages.len()).sum(),
+            pages_delegated: choices.iter().map(|c| c.upgraded_pages.len()).sum(),
             pages_total: documents.iter().map(Document::page_count).sum(),
-            choices: choices_all,
+            choices,
         }
     }
 
-    /// Stage 2 of a cascade window: transform scores into per-upgrade gains,
-    /// select through the running [`CascadeSelector`], and resolve each
-    /// grant into a [`ParserChoice`] (with its delegation set under
-    /// [`RoutingGranularity::ByPage`]) plus the [`RoutedDocument`] the
-    /// shared parse/score stages consume. For a pair frontier the resolved
-    /// decisions match [`AdaParseEngine::assemble_routes_with_mask`] over
-    /// the selector's mask bitwise.
-    fn resolve_cascade_wave(
-        &self,
-        cascade: &CascadeConfig,
-        selector: &mut CascadeSelector,
-        wave_docs: &[Document],
-        inputs: &[RoutingInput],
-        scores: &[(f64, bool)],
-    ) -> (Vec<RoutedDocument>, Vec<ParserChoice>) {
-        let features: Vec<CascadeFeatures> = wave_docs.iter().map(CascadeFeatures::of).collect();
-        let gains = cascade_gains(&cascade.frontier, scores, &features);
-        let granted = selector.select_window(&gains);
-        let mut routed_wave = Vec::with_capacity(wave_docs.len());
-        let mut choice_wave = Vec::with_capacity(wave_docs.len());
-        for (i, doc) in wave_docs.iter().enumerate() {
-            let (improvement, invalid) = scores[i];
-            let gain = granted[i].map_or(improvement, |j| gains[j][i]);
-            let mut choice =
-                ParserChoice::resolve(&cascade.frontier, inputs[i].doc_id, granted[i], gain, invalid);
-            if cascade.granularity == RoutingGranularity::ByPage && choice.is_upgraded() {
-                let pages = delegated_pages(doc);
-                if pages.len() < doc.page_count() {
-                    let fraction = pages.len() as f64 / doc.page_count().max(1) as f64;
-                    selector.refund_delegated(choice.upgrade.expect("upgraded choice"), fraction);
-                    choice.upgraded_pages = pages;
-                }
-            }
-            routed_wave.push(RoutedDocument {
-                doc_id: choice.doc_id,
-                parser: choice.parser,
-                predicted_improvement: if improvement > f64::MIN / 8.0 { improvement } else { 0.0 },
-                cls1_invalid: invalid,
-            });
-            choice_wave.push(choice);
-        }
-        (routed_wave, choice_wave)
-    }
-
-    /// The streaming campaign runner behind [`RoutingMode::Streaming`].
+    /// The one wave loop behind [`RoutingMode::Streaming`] and
+    /// [`run_cascade`](Self::run_cascade). Each window is extracted and
+    /// scored on the whole pool, selected (the only per-mode step, see
+    /// [`WaveSelection`]), parsed and scored on the whole pool, and folded
+    /// in input order before the next window starts; the wave's observed
+    /// costs then go back to the selection.
     ///
-    /// Documents flow in windows of k: window i is extracted and scored,
-    /// routed by the [`WindowedSelector`] against the running ledger, then
-    /// parsed — while window i+1 is *already extracting* on a separate
-    /// worker fleet. The [`ScalingController`] observes each wave's stage
-    /// times and moves workers between the extraction and parse fleets
-    /// (under the pipeline's total worker cap) for the next wave.
-    ///
-    /// Determinism: window boundaries are fixed by k, per-document RNG is
-    /// keyed by `seed ^ doc_id`, selection masks are pure functions of the
-    /// scores, and outcomes fold in input order — so the result is bitwise
-    /// identical for every worker count, shard size, and controller
-    /// trajectory (allocations only move wall-clock time).
-    fn run_streaming_with_sink(
+    /// Determinism: window boundaries are fixed by the selection, per-document
+    /// RNG is keyed by `seed ^ doc_id`, selection masks are pure functions of
+    /// the scores, and outcomes fold in input order — so the result is
+    /// bitwise identical for every worker count and shard size.
+    fn run_waves(
         &self,
         engine: &AdaParseEngine,
         documents: &[Document],
         seed: u64,
-        window: usize,
+        mut selection: WaveSelection<'_>,
         sink: &mut dyn RecordSink,
-    ) -> std::io::Result<CampaignResult> {
+    ) -> std::io::Result<(CampaignResult, Vec<ParserChoice>)> {
         let config = engine.config();
-        let window = window.max(1);
-        let parse = ParseStage::new(config, &self.pool);
-        let score = ScoreStage::new(config);
-
-        let total_workers = self.threads.current_num_threads().max(1);
-        // Overlapping the fleets needs at least one thread each; with a
-        // single configured worker the stages run back to back instead, so
-        // the worker cap genuinely holds.
-        let overlap = total_workers >= 2;
-        let mut controller = ScalingController::new(ControllerConfig::for_workers(total_workers));
-        let mut selector = self.streaming_selector(engine, documents, window);
-        let feedback = self.config.budget.is_some_and(|budget| budget.observed_feedback);
-
         let mut aggregates = Aggregates::default();
         let mut routed_all: Vec<RoutedDocument> = Vec::with_capacity(documents.len());
+        let mut choices_all: Vec<ParserChoice> = Vec::new();
         let mut extraction_failures = 0usize;
-
-        let windows: Vec<&[Document]> = documents.chunks(window).collect();
-        let mut allocation = controller.allocation();
-        let mut pending = windows
-            .first()
-            .map(|docs| self.extract_and_score_wave(engine, docs, seed, allocation.extract_workers));
-
-        for (index, wave_docs) in windows.iter().enumerate() {
-            let wave = pending.take().expect("the previous iteration staged this wave");
+        for wave_docs in documents.chunks(selection.window()) {
+            let wave = self.extract_and_score_wave(engine, wave_docs, seed);
             extraction_failures += wave.failures;
-
-            // Stage 2, sequential and cheap: one window through the selector.
-            let improvements: Vec<f64> = wave.scores.iter().map(|&(s, _)| s).collect();
-            let mask = selector.select_window(&improvements);
-            let routed_wave = engine.assemble_routes_with_mask(&wave.inputs, &wave.scores, &mask);
-
-            // Stages 3–4 for this window overlap with stages 1–2a of the
-            // next: extraction runs on its own fleet of scoped threads while
-            // parsing uses the parse fleet. (Overlap is purely a wall-clock
-            // optimization — the sequential fallback below produces the
-            // identical result.)
-            let next_docs = windows.get(index + 1).copied();
-            let extract_workers = allocation.extract_workers;
-            let (outcomes, parse_seconds, next_wave) = if overlap {
-                std::thread::scope(|scope| {
-                    let prefetch = next_docs.map(|docs| {
-                        scope.spawn(move || self.extract_and_score_wave(engine, docs, seed, extract_workers))
-                    });
-                    let started = Instant::now();
-                    let outcomes = self.parse_wave(
-                        &parse,
-                        &score,
-                        wave_docs,
-                        &routed_wave,
-                        seed,
-                        allocation.parse_workers,
-                    );
-                    let parse_seconds = started.elapsed().as_secs_f64();
-                    let next_wave = prefetch.map(|handle| handle.join().expect("extraction thread panicked"));
-                    (outcomes, parse_seconds, next_wave)
-                })
-            } else {
-                let started = Instant::now();
-                let outcomes =
-                    self.parse_wave(&parse, &score, wave_docs, &routed_wave, seed, allocation.parse_workers);
-                let parse_seconds = started.elapsed().as_secs_f64();
-                let next_wave =
-                    next_docs.map(|docs| self.extract_and_score_wave(engine, docs, seed, extract_workers));
-                (outcomes, parse_seconds, next_wave)
-            };
-
-            // Close the cost loop: the wave's measured per-document costs
-            // (from the deterministic cost models, folded in input order)
-            // reconcile the ledger before the next window is selected.
-            let mut wave_costs = WaveCosts::default();
-            for outcome in outcomes {
-                if feedback {
-                    // A failed high-quality parse burned only its extraction
-                    // seconds — exactly what a default-routed document pays —
-                    // so it is recorded as a *cheap* sample at its actual
-                    // cost: the spend stays exact (those seconds were
-                    // genuinely burned), while a zero-cost *expensive* sample
-                    // would teach the ledger the failing parser is cheap and
-                    // loosen α toward it.
-                    let high_quality = outcome.high_quality && !outcome.parse_failed;
-                    wave_costs.record(high_quality, outcome.cost.cpu_seconds + outcome.cost.gpu_seconds);
-                }
-                aggregates.fold(outcome, sink)?;
-            }
-            if feedback {
-                selector.ingest_observed(&wave_costs);
-            }
-
-            allocation = controller.observe(&WaveStats {
-                wave_index: index,
-                extract: StageSample { busy_seconds: wave.seconds, items: routed_wave.len() },
-                parse: StageSample { busy_seconds: parse_seconds, items: wave_docs.len() },
-                queue_depth: documents.len().saturating_sub((index + 1) * window),
-            });
-            routed_all.extend(routed_wave);
-            pending = next_wave;
+            let (routed, choices) = selection.select(engine, wave_docs, &wave);
+            let cascade = selection.base().map(|base| (choices.as_slice(), base));
+            let costs = aggregates
+                .fold_wave(self.parse_and_score(config, wave_docs, &routed, cascade, seed), sink)?;
+            selection.observe(&costs);
+            routed_all.extend(routed);
+            choices_all.extend(choices);
         }
-
-        Ok(aggregates.into_result(documents.len(), routed_all, extraction_failures))
+        Ok((aggregates.into_result(documents.len(), routed_all, extraction_failures), choices_all))
     }
 
-    /// Stages 1–2a for one streaming window: extract and score every
-    /// document on a fleet of `workers` threads. Pure per-document work;
-    /// results come back in input order.
-    fn extract_and_score_wave(
-        &self,
-        engine: &AdaParseEngine,
-        docs: &[Document],
-        seed: u64,
-        workers: usize,
-    ) -> ExtractedWave {
-        let started = Instant::now();
+    /// Stages 1–2a for a wave: extract and score every document, sharded
+    /// across the pool. Pure per-document work; results come back in input
+    /// order.
+    fn extract_and_score_wave(&self, engine: &AdaParseEngine, docs: &[Document], seed: u64) -> ExtractedWave {
         let stage = ExtractStage::new(engine.config(), &self.pool);
         let route = RouteStage::new(engine);
-        let pool = wave_pool(workers);
-        let shards: Vec<Vec<(Extracted, (f64, bool))>> = pool.install(|| {
-            docs.par_chunks(self.config.shard_size)
-                .map(|shard| {
-                    shard
-                        .iter()
-                        .map(|doc| {
-                            let extracted = stage.run(doc, seed);
-                            let improvement = route.improvement(&extracted.input);
-                            (extracted, improvement)
-                        })
-                        .collect()
-                })
-                .collect()
+        let scored = self.sharded(docs.len(), |i| {
+            let extracted = stage.run(&docs[i], seed);
+            let improvement = route.improvement(&extracted.input);
+            (extracted, improvement)
         });
-        let mut inputs = Vec::with_capacity(docs.len());
-        let mut scores = Vec::with_capacity(docs.len());
         let mut failures = 0usize;
-        for (extracted, improvement) in shards.into_iter().flatten() {
-            failures += extracted.failed as usize;
-            inputs.push(extracted.input);
-            scores.push(improvement);
-        }
-        ExtractedWave { inputs, scores, failures, seconds: started.elapsed().as_secs_f64() }
+        let (inputs, scores) = scored
+            .into_iter()
+            .map(|(extracted, improvement)| {
+                failures += extracted.failed as usize;
+                (extracted.input, improvement)
+            })
+            .unzip();
+        ExtractedWave { inputs, scores, failures }
     }
 
-    /// Stages 3–4 for one streaming window on a fleet of `workers` threads.
-    fn parse_wave(
+    /// Stages 3–4 for a wave: parse and score every document, sharded
+    /// across the pool, outcomes in input order. Cascade waves pass their
+    /// choices (aligned with `docs`) and the frontier base, and parse
+    /// through [`ParseStage::run_choice`], which stitches delegated pages
+    /// over the base; binary waves pass `None` and parse with
+    /// [`ParseStage::run`].
+    fn parse_and_score(
         &self,
-        parse: &ParseStage<'_>,
-        score: &ScoreStage<'_>,
+        config: &AdaParseConfig,
         docs: &[Document],
         routed: &[RoutedDocument],
+        cascade: Option<(&[ParserChoice], ParserKind)>,
         seed: u64,
-        workers: usize,
     ) -> Vec<DocOutcome> {
-        let jobs: Vec<(&Document, &RoutedDocument)> = docs.iter().zip(routed).collect();
-        let pool = wave_pool(workers);
-        let shards: Vec<Vec<DocOutcome>> = pool.install(|| {
-            jobs.par_chunks(self.config.shard_size)
-                .map(|shard| {
-                    shard
-                        .iter()
-                        .map(|&(doc, decision)| {
-                            let parsed = parse.run(doc, decision, seed);
-                            let extraction_cost = parse.extraction_cost(doc.page_count());
-                            score.run(doc, decision, parsed, extraction_cost)
-                        })
-                        .collect()
-                })
+        let parse = ParseStage::new(config, &self.pool);
+        let score = ScoreStage::new(config);
+        self.sharded(docs.len(), |i| {
+            let (doc, decision) = (&docs[i], &routed[i]);
+            let parsed = match cascade {
+                Some((choices, base)) => parse.run_choice(doc, &choices[i], base, seed),
+                None => parse.run(doc, decision, seed),
+            };
+            score.run(doc, decision, parsed, parse.extraction_cost(doc.page_count()))
+        })
+    }
+
+    /// Map `work` over the indices `0..n` in shards of `shard_size`, run in
+    /// parallel on the pipeline's pool; results come back in index order.
+    fn sharded<R: Send>(&self, n: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        let indices: Vec<usize> = (0..n).collect();
+        let shards: Vec<Vec<R>> = self.threads.install(|| {
+            indices
+                .par_chunks(self.config.shard_size)
+                .map(|shard| shard.iter().map(|&i| work(i)).collect())
                 .collect()
         });
         shards.into_iter().flatten().collect()
     }
+}
 
-    /// Stage 1 over the whole collection, sharded across the pool. Returns
-    /// the routing inputs plus the extraction failure count.
-    fn extract_all(
-        &self,
-        engine: &AdaParseEngine,
-        documents: &[Document],
-        seed: u64,
-    ) -> (Vec<RoutingInput>, usize) {
-        let stage = ExtractStage::new(engine.config(), &self.pool);
-        let shards: Vec<Vec<Extracted>> = self.threads.install(|| {
-            documents
-                .par_chunks(self.config.shard_size)
-                .map(|shard| shard.iter().map(|doc| stage.run(doc, seed)).collect())
-                .collect()
-        });
-        let mut inputs = Vec::with_capacity(documents.len());
-        let mut failures = 0usize;
-        for extracted in shards.into_iter().flatten() {
-            inputs.push(extracted.input);
-            failures += extracted.failed as usize;
+/// The one per-mode step of the wave loop: turning a scored window into
+/// routing decisions.
+enum WaveSelection<'a> {
+    /// Binary streaming: the [`WindowedSelector`] (with the pipeline's
+    /// optional [`CampaignBudget`] ledger) masks each window; under
+    /// observed-cost feedback each wave's costs reconcile the ledger before
+    /// the next window is selected.
+    Binary(WindowedSelector),
+    /// k-parser cascade: the [`CascadeSelector`] grants upgrades over the
+    /// frontier and [`resolve_cascade_wave`] resolves them into choices.
+    Cascade { cascade: &'a CascadeConfig, selector: &'a mut CascadeSelector },
+}
+
+impl WaveSelection<'_> {
+    /// Documents per window (and per wave).
+    fn window(&self) -> usize {
+        match self {
+            WaveSelection::Binary(selector) => selector.window(),
+            WaveSelection::Cascade { selector, .. } => selector.window(),
         }
-        (inputs, failures)
     }
 
-    /// CLS inference for stage 2, sharded across the pool (pure per-document
-    /// work; the sequential budget selection happens afterwards).
-    fn score_improvements(&self, route: &RouteStage<'_>, inputs: &[RoutingInput]) -> Vec<(f64, bool)> {
-        let shards: Vec<Vec<(f64, bool)>> = self.threads.install(|| {
-            inputs
-                .par_chunks(self.config.shard_size)
-                .map(|shard| shard.iter().map(|input| route.improvement(input)).collect())
-                .collect()
+    /// The frontier base that delegated pages are stitched over (cascade
+    /// only).
+    fn base(&self) -> Option<ParserKind> {
+        match self {
+            WaveSelection::Binary(_) => None,
+            WaveSelection::Cascade { cascade, .. } => Some(cascade.frontier.base()),
+        }
+    }
+
+    /// Stage 2 for one window: per-document decisions, plus the cascade's
+    /// choices (empty under binary selection).
+    fn select(
+        &mut self,
+        engine: &AdaParseEngine,
+        docs: &[Document],
+        wave: &ExtractedWave,
+    ) -> (Vec<RoutedDocument>, Vec<ParserChoice>) {
+        match self {
+            WaveSelection::Binary(selector) => {
+                let improvements: Vec<f64> = wave.scores.iter().map(|&(s, _)| s).collect();
+                let mask = selector.select_window(&improvements);
+                (engine.assemble_routes_with_mask(&wave.inputs, &wave.scores, &mask), Vec::new())
+            }
+            WaveSelection::Cascade { cascade, selector } => {
+                resolve_cascade_wave(cascade, selector, docs, &wave.inputs, &wave.scores)
+            }
+        }
+    }
+
+    /// Close the cost loop after a wave is folded (a no-op unless the
+    /// binary selector carries a ledger with observed-cost feedback).
+    fn observe(&mut self, costs: &WaveCosts) {
+        if let WaveSelection::Binary(selector) = self {
+            selector.ingest_observed(costs);
+        }
+    }
+}
+
+/// Stage 2 of a cascade window: transform scores into per-upgrade gains,
+/// select through the running [`CascadeSelector`], and resolve each grant
+/// into a [`ParserChoice`] (with its delegation set under
+/// [`RoutingGranularity::ByPage`]) plus the [`RoutedDocument`] the shared
+/// parse/score stages consume. For a pair frontier the resolved decisions
+/// match [`AdaParseEngine::assemble_routes_with_mask`] over the selector's
+/// mask bitwise.
+fn resolve_cascade_wave(
+    cascade: &CascadeConfig,
+    selector: &mut CascadeSelector,
+    wave_docs: &[Document],
+    inputs: &[RoutingInput],
+    scores: &[(f64, bool)],
+) -> (Vec<RoutedDocument>, Vec<ParserChoice>) {
+    let features: Vec<CascadeFeatures> = wave_docs.iter().map(CascadeFeatures::of).collect();
+    let gains = cascade_gains(&cascade.frontier, scores, &features);
+    let granted = selector.select_window(&gains);
+    let mut routed_wave = Vec::with_capacity(wave_docs.len());
+    let mut choice_wave = Vec::with_capacity(wave_docs.len());
+    for (i, doc) in wave_docs.iter().enumerate() {
+        let (improvement, invalid) = scores[i];
+        let gain = granted[i].map_or(improvement, |j| gains[j][i]);
+        let mut choice =
+            ParserChoice::resolve(&cascade.frontier, inputs[i].doc_id, granted[i], gain, invalid);
+        if cascade.granularity == RoutingGranularity::ByPage && choice.is_upgraded() {
+            let pages = delegated_pages(doc);
+            if pages.len() < doc.page_count() {
+                let fraction = pages.len() as f64 / doc.page_count().max(1) as f64;
+                selector.refund_delegated(choice.upgrade.expect("upgraded choice"), fraction);
+                choice.upgraded_pages = pages;
+            }
+        }
+        routed_wave.push(RoutedDocument {
+            doc_id: choice.doc_id,
+            parser: choice.parser,
+            predicted_improvement: if improvement > f64::MIN / 8.0 { improvement } else { 0.0 },
+            cls1_invalid: invalid,
         });
-        shards.into_iter().flatten().collect()
+        choice_wave.push(choice);
     }
+    (routed_wave, choice_wave)
 }
 
-/// A per-stage worker fleet for one streaming wave. Pools here are logical
-/// widths (the vendored `rayon` spawns scoped threads per parallel call), so
-/// building one per wave is free; with real `rayon` the two fleets would be
-/// kept alive across waves and resized only when the controller moves
-/// workers.
-fn wave_pool(workers: usize) -> ThreadPool {
-    ThreadPoolBuilder::new()
-        .num_threads(workers.max(1))
-        .build()
-        .expect("thread pool construction cannot fail")
-}
-
-/// Stage 1–2a output for one streaming window.
+/// Stage 1–2a output for one wave.
 struct ExtractedWave {
     /// Router inputs, in input order.
     inputs: Vec<RoutingInput>,
     /// CLS improvement scores, aligned with `inputs`.
     scores: Vec<(f64, bool)>,
-    /// Extraction failures in the window.
+    /// Extraction failures in the wave.
     failures: usize,
-    /// Wall-clock seconds the window's extraction + scoring took (feeds the
-    /// scaling controller; never the result).
-    seconds: f64,
 }
 
 /// The campaign's order-preserving aggregate fold. Folding is strictly in
@@ -1099,17 +907,34 @@ struct Aggregates {
 }
 
 impl Aggregates {
-    /// Fold one document outcome and hand its record to the sink.
-    fn fold(&mut self, outcome: DocOutcome, sink: &mut dyn RecordSink) -> std::io::Result<()> {
-        self.coverage += outcome.report.coverage;
-        self.bleu += outcome.report.bleu;
-        self.rouge += outcome.report.rouge;
-        self.car += outcome.report.car;
-        self.accepted.record(outcome.tokens, outcome.report.bleu, DEFAULT_ACCEPTANCE_THRESHOLD);
-        self.total_cost = self.total_cost + outcome.cost;
-        self.high_quality += outcome.high_quality as usize;
-        self.parse_failures += outcome.parse_failed as usize;
-        sink.accept(outcome.record)
+    /// Fold one wave's outcomes in input order, handing each record to the
+    /// sink, and return the wave's observed per-document costs.
+    fn fold_wave(
+        &mut self,
+        outcomes: Vec<DocOutcome>,
+        sink: &mut dyn RecordSink,
+    ) -> std::io::Result<WaveCosts> {
+        let mut costs = WaveCosts::default();
+        for outcome in outcomes {
+            // A failed high-quality parse burned only its extraction seconds
+            // — exactly what a default-routed document pays — so it is
+            // recorded as a *cheap* sample at its actual cost: the spend
+            // stays exact (those seconds were genuinely burned), while a
+            // zero-cost *expensive* sample would teach a budget ledger the
+            // failing parser is cheap and loosen α toward it.
+            let high_quality = outcome.high_quality && !outcome.parse_failed;
+            costs.record(high_quality, outcome.cost.cpu_seconds + outcome.cost.gpu_seconds);
+            self.coverage += outcome.report.coverage;
+            self.bleu += outcome.report.bleu;
+            self.rouge += outcome.report.rouge;
+            self.car += outcome.report.car;
+            self.accepted.record(outcome.tokens, outcome.report.bleu, DEFAULT_ACCEPTANCE_THRESHOLD);
+            self.total_cost = self.total_cost + outcome.cost;
+            self.high_quality += outcome.high_quality as usize;
+            self.parse_failures += outcome.parse_failed as usize;
+            sink.accept(outcome.record)?;
+        }
+        Ok(costs)
     }
 
     /// Close the fold into a [`CampaignResult`].

@@ -43,12 +43,12 @@
 //!   (CLS I → II → III); campaign entry points delegate to the pipeline,
 //! * [`campaign`] — the staged parallel pipeline described above, with two
 //!   routing modes: [`RoutingMode::GlobalBatch`] (classic two-phase) and
-//!   [`RoutingMode::Streaming`] (windowed selection with extract/parse
-//!   overlap),
+//!   [`RoutingMode::Streaming`] (windowed selection, one wave loop shared
+//!   with the k-parser cascade),
 //! * [`scaling`] — the resource-scaling engine: the streaming
 //!   [`WindowedSelector`], the feedback-driven [`ScalingController`]
-//!   that reallocates workers (and `hpcsim` nodes) between stages — driven
-//!   by simulated time, never wall time — the [`ObservedCosts`] ledger
+//!   that reallocates simulated workers and `hpcsim` nodes between stages —
+//!   driven by simulated time, never wall time — the [`ObservedCosts`] ledger
 //!   feedback that tightens or loosens the effective α as measured costs
 //!   diverge from plan, and the fully closed, *waveless* simulation loop
 //!   ([`scaling::simloop`]: one persistent `hpcsim` executor session whose
@@ -87,8 +87,8 @@
 //! // Identical to the engine's default (sequential-equivalent) entry point.
 //! assert_eq!(result, engine.parse_documents(&test, 11));
 //!
-//! // Streaming mode: windowed selection + extract/parse overlap. Bitwise
-//! // identical across worker counts too.
+//! // Streaming mode: windowed selection, each window parsed before the next
+//! // is extracted. Bitwise identical across worker counts too.
 //! let streaming = CampaignPipeline::new(PipelineConfig::streaming(2, 4));
 //! assert_eq!(streaming.run(&engine, &test, 11).quality.documents, test.len());
 //! ```
@@ -106,7 +106,7 @@ pub mod scaling;
 pub mod serve;
 pub mod stats;
 
-pub use budget::{assign_k, assign_k_batched, assign_k_global, KAssignment};
+pub use budget::{assign_k, KAssignment};
 pub use budget::{
     max_affordable_alpha, optimality_gap, select_batch, select_global, windowed_optimality_gap,
 };

@@ -27,11 +27,12 @@
 //!   data-locality consequences the executor models (tasks carry a preferred
 //!   node; off-node placement pays a `LustreModel` penalty).
 //!
-//! [`crate::campaign::CampaignPipeline`] wires both into its
-//! [`crate::campaign::RoutingMode::Streaming`] mode: extraction of window
-//! i+1 overlaps with parsing of window i, routing masks are emitted
-//! wave-by-wave, and the campaign result stays bitwise identical for every
-//! worker count.
+//! [`crate::campaign::CampaignPipeline`] uses the selector in its
+//! [`crate::campaign::RoutingMode::Streaming`] mode: each window runs every
+//! stage on the whole worker pool, routing masks are emitted wave by wave,
+//! and the campaign result stays bitwise identical for every worker count.
+//! The controller steers the simulated cluster ([`simloop`], `serve`), not
+//! the real campaign's threads.
 //!
 //! Since PR 3 the loop is *closed* in both directions:
 //!
@@ -41,8 +42,7 @@
 //!   makespans), and even plain [`ScalingController::observe`] accrues a
 //!   virtual clock from the observed stage seconds, so a trace is a pure
 //!   function of its stat stream: replaying recorded or simulated stats
-//!   replays the trace bit for bit. (A live streaming campaign's stats are
-//!   wall-clock measurements, so its traces naturally vary run to run.)
+//!   replays the trace bit for bit.
 //! * **Costs** — [`observed::ObservedCosts`] blends the planned
 //!   per-document costs with what completed waves *actually* cost
 //!   ([`observed::WaveCosts`]); a [`BudgetLedger`] with

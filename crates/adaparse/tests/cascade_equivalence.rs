@@ -3,6 +3,8 @@
 //! * the k = 2 by-document cascade reproduces the binary streaming
 //!   campaign **bitwise** — same masks, same records, same
 //!   `CampaignResult` — on a frozen workload,
+//! * the k = 4 by-page cascade report is bitwise identical across worker
+//!   counts and shard sizes,
 //! * the [`CascadeSelector`] over a pair frontier degenerates to the
 //!   [`WindowedSelector`] mask for mask under proptest-random streams,
 //! * the by-page task DAG never lets a join start before every one of its
@@ -90,9 +92,33 @@ fn k2_by_doc_cascade_reproduces_the_streaming_campaign_bitwise() {
                 choice.doc_id
             );
         }
-        // And the route-only entry point agrees with the full run.
-        let routed_only = pipeline.route_cascade(&engine, &docs, &CascadeConfig::binary(&config, window), 11);
-        assert_eq!(routed_only, cascade.choices);
+    }
+}
+
+/// The k = 4 by-page cascade — full frontier, per-page delegation and
+/// stitching, refunded dollars — is as worker-count-independent as the
+/// binary one: the whole report, choices and ledger included, is bitwise
+/// equal at every worker count and shard size.
+#[test]
+fn k4_by_page_cascade_is_bitwise_identical_across_worker_counts() {
+    let config = AdaParseConfig { alpha: 0.2, ..Default::default() };
+    let engine = trained_engine(config.clone());
+    let docs = corpus(90, 77);
+    let cascade = CascadeConfig::full(&config, 16).by_page();
+
+    let run = |workers: usize, shard: usize| {
+        CampaignPipeline::new(PipelineConfig { workers, shard_size: shard, ..Default::default() })
+            .run_cascade(&engine, &docs, &cascade, 11)
+    };
+    let reference = run(1, 7);
+    assert!(reference.pages_delegated > 0, "the frozen corpus must exercise per-page delegation");
+    for (workers, shard) in [(2, 8), (4, 16)] {
+        let report = run(workers, shard);
+        assert_eq!(report.result, reference.result, "result diverged at workers={workers} shard={shard}");
+        assert_eq!(report.choices, reference.choices, "choices diverged at workers={workers} shard={shard}");
+        assert_eq!(report.dollars, reference.dollars, "dollars diverged at workers={workers} shard={shard}");
+        assert_eq!(report.pages_delegated, reference.pages_delegated);
+        assert_eq!(report, reference);
     }
 }
 
